@@ -4,8 +4,10 @@ Times the three execution strategies of ``ServingEngine.run`` on a synthetic
 constant-work pool (a near-free backend, so the measurement is the event
 loop itself, not a model):
 
-* ``reference`` — the Event/EventHeap loop (pre-fast-path semantics),
-* ``fast``      — numpy arrival buffer + cursor + raw-tuple completion heap,
+* ``reference`` — the EventHeap loop (``fast_path=False``), the oracle the
+  other loops are checked against,
+* ``fast``      — numpy arrival buffer + cursor + raw-tuple completion heap
+  (the engine's default for a static pool),
 * ``shard``     — per-replica independent simulation (round-robin pools).
 
 Each (tier, mode) cell runs in a **fresh subprocess** via
@@ -152,8 +154,8 @@ def test_engine_modes_identical_at_10k():
         )
         return engine.run(trace, arrivals, **kwargs)
 
-    ref = _run(gen.generate())
-    for result in (_run(atrace, fast_path=True), _run(atrace, shard=True)):
+    ref = _run(gen.generate(), fast_path=False)
+    for result in (_run(atrace), _run(atrace, shard=True)):
         assert result.outcomes == ref.outcomes
         assert result.dropped == ref.dropped
         assert result.replica_stats == ref.replica_stats

@@ -1,17 +1,19 @@
 """Benchmark (extension): open-loop SLO attainment under increasing load."""
 
 from repro.core.policies import Policy
-from repro.serving import ExperimentRunner
-from repro.serving.simulator import OpenLoopSimulator
+from repro.serving import ExperimentRunner, build_stack_engine
 
 
 def test_bench_open_loop_load_sweep(benchmark, show):
     runner = ExperimentRunner("ofa_mobilenetv3", policy=Policy.STRICT_LATENCY, seed=0)
     trace = runner.default_workload(num_queries=150)
-    simulator = OpenLoopSimulator.from_stack(runner.sushi)
+    engine = build_stack_engine(runner.sushi)
 
     def sweep():
-        return simulator.load_sweep(trace, arrival_rates_per_ms=(0.2, 0.5, 1.0, 2.0), seed=0)
+        return {
+            rate: engine.run_open_loop(trace, arrival_rate_per_ms=rate, seed=0)
+            for rate in (0.2, 0.5, 1.0, 2.0)
+        }
 
     results = benchmark(sweep)
     lines = ["Open-loop load sweep (SUSHI, MobileNetV3):"]

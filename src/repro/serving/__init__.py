@@ -29,7 +29,6 @@ from repro.serving.engine import (
     SimulationResult,
     build_stack_engine,
 )
-from repro.serving.simulator import OpenLoopSimulator
 from repro.serving.autoscale import (
     AutoscaleController,
     AutoscaleReport,
@@ -80,7 +79,6 @@ __all__ = [
     "ServingEngine",
     "SimulationResult",
     "build_stack_engine",
-    "OpenLoopSimulator",
     "ArrivalSpec",
     "AutoscaleController",
     "AutoscaleReport",

@@ -459,20 +459,10 @@ def _fast_drain(
         # The replica just went idle: pull its next pickup, if any.
         nonlocal tie
         if replica.max_batch == 1:
-            stats = replica.stats
             pop_next = replica.pop_next
             item = pop_next()
             while item is not None and not admit(item, now):
-                stats.num_dropped += 1
-                drop_append(
-                    DroppedQuery(
-                        query_index=item.query.index,
-                        arrival_ms=item.arrival_ms,
-                        dropped_at_ms=now,
-                        latency_constraint_ms=item.query.latency_constraint_ms,
-                        replica_index=replica.index,
-                    )
-                )
+                drop_append(_drop_item(item, replica, now))
                 if rec_dropped is not None:
                     rec_dropped(dropped[-1])
                 item = pop_next()
@@ -562,16 +552,7 @@ def _fast_drain(
             if admit(item, now):
                 serve_one(replica, item, now)
             else:
-                replica.stats.num_dropped += 1
-                drop_append(
-                    DroppedQuery(
-                        query_index=query.index,
-                        arrival_ms=now,
-                        dropped_at_ms=now,
-                        latency_constraint_ms=query.latency_constraint_ms,
-                        replica_index=replica.index,
-                    )
-                )
+                drop_append(_drop_item(item, replica, now))
                 if rec_dropped is not None:
                     rec_dropped(dropped[-1])
             continue
@@ -623,8 +604,7 @@ class ServingEngine:
         When True, each dispatch passes the query's *remaining* latency
         budget (constraint minus time already waited) to the backend, so
         cache- and SLO-aware schedulers react to actual queueing state.
-        When False the backend sees the nominal constraint (used by the
-        legacy precomputed mode).
+        When False the backend sees the nominal constraint.
     autoscaler:
         Optional :class:`~repro.serving.autoscale.AutoscaleController`.
         When set, the engine feeds its telemetry bus per event and fires a
@@ -838,27 +818,42 @@ class ServingEngine:
         *,
         arrival_rate_per_ms: float | None = None,
         reset: bool = True,
-        fast_path: bool = False,
+        fast_path: bool = True,
         shard: bool = False,
         shard_workers: int | None = None,
     ) -> SimulationResult:
         """Simulate ``trace`` with explicit per-query arrival times.
 
-        ``fast_path`` swaps the Event/EventHeap loop for the cursor-based
-        fast loop (:func:`_fast_drain`; with an autoscaler or fault
-        injection, the :class:`ArrayEventQueue` mirror
-        :meth:`_drain_array`).  ``shard`` simulates each replica
-        independently — requires round-robin routing, no autoscaler and no
-        fault injection, see :meth:`_run_sharded` — optionally across
-        ``shard_workers`` processes.  All three are pure execution
-        strategies: results and per-replica stats are bit-identical to the
-        reference loop (``shard`` implies the fast loop per shard).
+        ``arrivals`` must be finite and non-decreasing.  The engine picks
+        its loop from the pool: a static pool runs the cursor-based fast
+        loop (:func:`_fast_drain`), a pool with an autoscaler or fault
+        injection runs :meth:`_drain` over an :class:`ArrayEventQueue`.
+        ``fast_path=False`` asks for the reference loop instead —
+        :meth:`_drain` over an :class:`EventHeap` holding every event — the
+        oracle the identity tests compare the other loops against.
+        ``shard`` simulates each replica independently — requires
+        round-robin routing, no autoscaler and no fault injection, see
+        :meth:`_run_sharded` — optionally across ``shard_workers``
+        processes.  Results and per-replica stats are bit-identical
+        whichever loop runs.
         """
         arrivals = np.asarray(arrivals, dtype=np.float64)
         if arrivals.shape != (len(trace),):
             raise ValueError(
                 f"arrivals shape {arrivals.shape} does not match trace length "
                 f"({len(trace)},)"
+            )
+        if not np.isfinite(arrivals).all():
+            raise ValueError("arrival times must be finite")
+        backwards = np.diff(arrivals) < 0
+        if backwards.any():
+            # Both fast loops walk the buffer with a cursor; an unsorted
+            # buffer would silently reorder (and lose) arrivals.
+            i = int(np.argmax(backwards)) + 1
+            raise ValueError(
+                f"arrival times must be non-decreasing: arrival {i} at "
+                f"{arrivals[i]!r} ms precedes arrival {i - 1} at "
+                f"{arrivals[i - 1]!r} ms"
             )
         if reset:
             self.reset()
@@ -867,8 +862,9 @@ class ServingEngine:
             recorder.begin_run((r.index, r.name) for r in self.replicas)
         if self.autoscaler is not None:
             self.autoscaler.recorder = recorder
+        arr_list = arrivals.tolist()
         if shard:
-            outcomes, dropped = self._run_sharded(trace, arrivals, shard_workers)
+            outcomes, dropped = self._run_sharded(trace, arr_list, shard_workers)
         elif fast_path and self.autoscaler is None and self.faults is None:
             outcomes, dropped, run_end = _fast_drain(
                 self.replicas,
@@ -877,25 +873,27 @@ class ServingEngine:
                 self.dispatch_time_scheduling,
                 self._needs_estimates,
                 _query_getter(trace),
-                arrivals.tolist(),
+                arr_list,
                 recorder=recorder,
             )
             self._run_end_ms = run_end
             outcomes.sort(key=_by_query_index)
             dropped.sort(key=_by_query_index)
-        elif fast_path:
-            outcomes, dropped = self._drain_array(trace, arrivals)
         else:
-            heap = EventHeap()
-            for query, arrival in zip(trace, arrivals):
-                heap.push(Event(float(arrival), EventKind.ARRIVAL, query))
+            queue: EventHeap | ArrayEventQueue
+            if fast_path:
+                queue = ArrayEventQueue(arr_list)
+            else:
+                queue = EventHeap()
+                for i, arrival_ms in enumerate(arr_list):
+                    queue.push(Event(arrival_ms, EventKind.ARRIVAL, i))
             if self.autoscaler is not None:
-                heap.push(
+                queue.push(
                     Event(self.autoscaler.control_interval_ms, EventKind.CONTROL, None)
                 )
             if self.faults is not None:
-                self._arm_faults(arrivals, heap.push)
-            outcomes, dropped = self._drain(heap)
+                self._arm_faults(arr_list, queue.push)
+            outcomes, dropped = self._drain(queue, _query_getter(trace))
         return self._build_result(
             outcomes, dropped, arrival_rate_per_ms=arrival_rate_per_ms
         )
@@ -977,8 +975,17 @@ class ServingEngine:
 
     # ------------------------------------------------------------ event loop
     def _drain(
-        self, heap: EventHeap
+        self,
+        queue: EventHeap | ArrayEventQueue,
+        get_query: Callable[[int], Query],
     ) -> tuple[list[SimulatedQueryOutcome], list[DroppedQuery]]:
+        """Pop and handle events until ``queue`` runs dry.
+
+        ``queue`` pops ``(time_ms, kind, payload)`` triples in the
+        (time, kind, insertion order) contract; an ARRIVAL's payload is its
+        index into the arrival buffer, which ``get_query`` turns into the
+        query and which doubles as the queue-entry sequence number.
+        """
         outcomes: list[SimulatedQueryOutcome] = []
         dropped: list[DroppedQuery] = []
         bus = None if self.autoscaler is None else self.autoscaler.bus
@@ -987,30 +994,25 @@ class ServingEngine:
         router_select = self.router.select
         needs_estimates = self._needs_estimates
         scalable = self._scalable_set
-        heap_pop = heap.pop
+        queue_pop = queue.pop
         fi = self.faults
-        ARRIVAL, COMPLETION, FAULT, RECOVERY, PROVISIONING, CONTROL = (
-            EventKind.ARRIVAL,
-            EventKind.COMPLETION,
-            EventKind.FAULT,
-            EventKind.RECOVERY,
-            EventKind.PROVISIONING,
-            EventKind.CONTROL,
+        ARRIVAL, COMPLETION, FAULT, RECOVERY, PROVISIONING = (
+            int(EventKind.ARRIVAL),
+            int(EventKind.COMPLETION),
+            int(EventKind.FAULT),
+            int(EventKind.RECOVERY),
+            int(EventKind.PROVISIONING),
         )
-        seq = 0
-        while heap:
-            event = heap_pop()
-            now = event.time_ms
-            kind = event.kind
+        while queue:
+            now, kind, payload = queue_pop()
             if kind == ARRIVAL:
                 # Only data-plane events define the run's duration: a
                 # trailing control tick (or provisioning hand-over) after
                 # the last completion must not inflate the cost accounting
                 # relative to a static run of the same trace.
                 self._run_end_ms = now
-                query = event.payload
-                item = QueuedQuery(query=query, arrival_ms=now, seq=seq)
-                seq += 1
+                query = get_query(payload)
+                item = QueuedQuery(query=query, arrival_ms=now, seq=payload)
                 candidates = self._routable()
                 if fi is not None and not candidates:
                     # Every replica crashed (and no replacement is serving
@@ -1031,97 +1033,6 @@ class ServingEngine:
                     item = QueuedQuery(
                         query=query,
                         arrival_ms=now,
-                        seq=item.seq,
-                        service_estimate_ms=float(replica.service_estimator(query)),
-                    )
-                replica.enqueue(item)
-                if replica.in_service is None:
-                    self._dispatch(replica, now, heap, dropped)
-            elif kind == COMPLETION:
-                replica = self.replicas[event.payload]
-                if fi is not None and replica.failed:
-                    # The crash already swept this pickup into the retry
-                    # path; its COMPLETION is stale and defines nothing
-                    # (not even the run end — the work never finished).
-                    continue
-                self._run_end_ms = now
-                self._complete(replica, outcomes, now)
-                self._dispatch(replica, now, heap, dropped)
-            elif kind == FAULT:
-                self._handle_fault(now, event.payload, heap, dropped)
-            elif kind == RECOVERY:
-                self._handle_recovery(now, event.payload, heap, dropped)
-            elif kind == PROVISIONING:
-                replica = self.replicas[event.payload]
-                # A scale-down during the cold start cancelled (retired)
-                # the replica; its stale hand-over event is a no-op.
-                if not replica.is_retired and replica.provisioning:
-                    replica.finish_provisioning()
-                    if fi is not None:
-                        self._on_capacity_joined()
-            else:  # CONTROL
-                self._control(now, heap)
-        outcomes.sort(key=_by_query_index)
-        dropped.sort(key=_by_query_index)
-        return outcomes, dropped
-
-    def _drain_array(
-        self, trace, arrivals: np.ndarray
-    ) -> tuple[list[SimulatedQueryOutcome], list[DroppedQuery]]:
-        """The fast path with dynamics (autoscaler and/or fault injection).
-
-        Mirrors :meth:`_drain` event for event — same handlers, same
-        telemetry feed, same timestamp tie-breaks (enforced by
-        :class:`ArrayEventQueue`) — but arrivals never become ``Event``
-        objects and queries materialize lazily, so the per-arrival constant
-        factor drops while scaling and fault decisions stay bit-identical.
-        """
-        outcomes: list[SimulatedQueryOutcome] = []
-        dropped: list[DroppedQuery] = []
-        bus = None if self.autoscaler is None else self.autoscaler.bus
-        router_select = self.router.select
-        needs_estimates = self._needs_estimates
-        scalable = self._scalable_set
-        get_query = _query_getter(trace)
-        queue = ArrayEventQueue(arrivals.tolist())
-        if self.autoscaler is not None:
-            queue.push(
-                Event(self.autoscaler.control_interval_ms, EventKind.CONTROL, None)
-            )
-        fi = self.faults
-        if fi is not None:
-            self._arm_faults(arrivals, queue.push)
-        queue_pop = queue.pop
-        ARRIVAL, COMPLETION, FAULT, RECOVERY, PROVISIONING = (
-            int(EventKind.ARRIVAL),
-            int(EventKind.COMPLETION),
-            int(EventKind.FAULT),
-            int(EventKind.RECOVERY),
-            int(EventKind.PROVISIONING),
-        )
-        while queue:
-            now, kind, payload = queue_pop()
-            if kind == ARRIVAL:
-                # Only data-plane events define the run's duration (see
-                # _drain).  The payload is the arrival index, which doubles
-                # as the queue-entry sequence number: the cursor yields
-                # arrivals in buffer order, exactly the reference loop's
-                # seq counter.
-                self._run_end_ms = now
-                query = get_query(payload)
-                item = QueuedQuery(query=query, arrival_ms=now, seq=payload)
-                candidates = self._routable()
-                if fi is not None and not candidates:
-                    self._shed_arrival(item, now, dropped, bus)
-                    continue
-                ridx = router_select(candidates, item, now)
-                replica = candidates[ridx]
-                if bus is not None and replica.index in scalable:
-                    bus.on_arrival(now)
-                if needs_estimates:
-                    item = QueuedQuery(
-                        query=query,
-                        arrival_ms=now,
                         seq=payload,
                         service_estimate_ms=float(replica.service_estimator(query)),
                     )
@@ -1131,8 +1042,9 @@ class ServingEngine:
             elif kind == COMPLETION:
                 replica = self.replicas[payload]
                 if fi is not None and replica.failed:
-                    # Stale completion of a crashed replica's lost pickup
-                    # (see _drain).
+                    # The crash already swept this pickup into the retry
+                    # path; its COMPLETION is stale and defines nothing
+                    # (not even the run end — the work never finished).
                     continue
                 self._run_end_ms = now
                 self._complete(replica, outcomes, now)
@@ -1143,6 +1055,8 @@ class ServingEngine:
                 self._handle_recovery(now, payload, queue, dropped)
             elif kind == PROVISIONING:
                 replica = self.replicas[payload]
+                # A scale-down during the cold start cancelled (retired)
+                # the replica; its stale hand-over event is a no-op.
                 if not replica.is_retired and replica.provisioning:
                     replica.finish_provisioning()
                     if fi is not None:
@@ -1155,7 +1069,7 @@ class ServingEngine:
 
     # ------------------------------------------------------------- sharding
     def _run_sharded(
-        self, trace, arrivals: np.ndarray, workers: int | None
+        self, trace, arr_list: list[float], workers: int | None
     ) -> tuple[list[SimulatedQueryOutcome], list[DroppedQuery]]:
         """Simulate each replica's arrival sub-stream independently.
 
@@ -1163,7 +1077,7 @@ class ServingEngine:
         replica ``i mod N`` regardless of pool load — and without an
         autoscaler the replicas share no state at all, so the simulation
         decomposes exactly: each replica sees the arrival subsequence
-        ``arrivals[r::N]`` with its global indices, and the merged,
+        ``arr_list[r::N]`` with its global indices, and the merged,
         query-index-sorted outcomes are bit-identical to the unsharded fast
         path (which sorts the same way).  Load-aware routers and autoscaled
         pools couple replicas through routing/telemetry state and are
@@ -1193,7 +1107,6 @@ class ServingEngine:
             raise ValueError(f"shard_workers must be >= 1, got {workers}")
         replicas = self.replicas
         num = len(replicas)
-        arr_list = arrivals.tolist()
         jobs = [
             (replicas[r], arr_list[r::num], list(range(r, len(arr_list), num)))
             for r in range(num)
@@ -1423,7 +1336,7 @@ class ServingEngine:
                 self.recorder.on_replica_retired(replica.index, now)
 
     # ------------------------------------------------------------ fault plane
-    def _arm_faults(self, arrivals: np.ndarray, push) -> None:
+    def _arm_faults(self, arrivals: Sequence[float], push) -> None:
         """Sample and schedule the fault processes for the initial pool.
 
         Runs once per ``run()``, in replica-index order, before the first
@@ -1671,11 +1584,6 @@ class ServingEngine:
         _complete_inservice(replica, outcomes, self.recorder)
 
     # -------------------------------------------------------------- helpers
-    def _drop(
-        self, item: QueuedQuery, replica: AcceleratorReplica, now: float
-    ) -> DroppedQuery:
-        return _drop_item(item, replica, now)
-
     def _build_result(
         self,
         outcomes: list[SimulatedQueryOutcome],

@@ -55,46 +55,38 @@ class Event:
     time_ms: float
     kind: EventKind
     payload: Any
-    """ARRIVAL: the arriving :class:`Query`.  COMPLETION / PROVISIONING: the
-    replica index.  FAULT / RECOVERY: a ``(tag, ...)`` tuple from the fault
-    layer (see :mod:`repro.serving.engine.faults`).  CONTROL: unused
-    (None)."""
+    """ARRIVAL: the arrival's index into the run's arrival buffer.
+    COMPLETION / PROVISIONING: the replica index.  FAULT / RECOVERY: a
+    ``(tag, ...)`` tuple from the fault layer (see
+    :mod:`repro.serving.engine.faults`).  CONTROL: unused (None)."""
 
 
 class EventHeap:
-    """Min-heap of events ordered by (time, kind, insertion order)."""
+    """Min-heap of events ordered by (time, kind, insertion order).
+
+    The engine's reference queue: every event, arrivals included, goes
+    through one heap.  It is the oracle the :class:`ArrayEventQueue`
+    ordering property is checked against, and the loop ``run(...,
+    fast_path=False)`` drains.  ``pop`` returns the same ``(time_ms, kind,
+    payload)`` triple as :meth:`ArrayEventQueue.pop`.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, int, Any]] = []
         self._counter = 0
 
     def push(self, event: Event) -> None:
         heapq.heappush(
-            self._heap, (event.time_ms, int(event.kind), self._counter, event)
+            self._heap,
+            (event.time_ms, int(event.kind), self._counter, event.payload),
         )
         self._counter += 1
 
-    def pop(self) -> Event:
+    def pop(self) -> tuple[float, int, Any]:
         if not self._heap:
             raise IndexError("pop from an empty event heap")
-        return heapq.heappop(self._heap)[3]
-
-    def pop_batch(self) -> list[Event]:
-        """Every event sharing the earliest timestamp, in tie-break order.
-
-        Equivalent to popping one at a time while the head's time does not
-        change: the returned list is ordered by (kind, insertion order), the
-        documented determinism contract at equal timestamps.
-        """
-        heap = self._heap
-        if not heap:
-            raise IndexError("pop from an empty event heap")
-        time_ms = heap[0][0]
-        batch: list[Event] = []
-        pop = heapq.heappop
-        while heap and heap[0][0] == time_ms:
-            batch.append(pop(heap)[3])
-        return batch
+        time_ms, kind, _, payload = heapq.heappop(self._heap)
+        return time_ms, kind, payload
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -109,11 +101,11 @@ _ARRIVAL = int(EventKind.ARRIVAL)
 class ArrayEventQueue:
     """Array-backed event queue: an arrival cursor merged with a small heap.
 
-    The engine's arrival buffer is already time-sorted (arrival processes
-    are cumulative), so the fast path keeps arrivals as a plain cursor over
-    the buffer and heaps only the *dynamic* events — COMPLETION, FAULT,
-    RECOVERY, PROVISIONING and CONTROL — of which only a handful are ever
-    in flight.
+    The engine's arrival buffer is time-sorted (``ServingEngine.run``
+    rejects decreasing arrival times), so arrivals stay a plain cursor
+    over the buffer and only the *dynamic* events — COMPLETION, FAULT,
+    RECOVERY, PROVISIONING and CONTROL, of which only a handful are ever
+    in flight — go on a heap.
     This removes one ``Event`` allocation plus a heap push *and* pop per
     arrival while preserving :class:`EventHeap`'s exact ordering contract:
 

@@ -1103,11 +1103,10 @@ class ScenarioSpec:
     seed:
         Scenario seed: the workload seed and the default backend seed.
     fast_path:
-        Opt into the engine's fast event loop: the trace stays in numpy
-        constraint buffers (queries materialize lazily at dispatch) and
-        arrivals are consumed through an array-backed event queue.  Records
-        and results are bit-identical to the reference path — ``false``
-        (the default) keeps the reference loop.
+        Ignored execution hint, parsed and round-tripped so existing
+        scenario files stay byte-stable.  The engine picks its loop itself
+        (see :meth:`~repro.serving.engine.ServingEngine.run`) and every loop
+        is bit-identical to the reference one.
     shard:
         Opt into sharded simulation: with state-independent routing
         (``round_robin``) and no autoscaler, arrival ``i`` goes to replica

@@ -224,15 +224,9 @@ class WorkloadGenerator:
             lat = np.asarray(latency_override, dtype=np.float64)[:n]
         return acc, lat
 
-    def generate(
-        self,
-        *,
-        name: str | None = None,
-        accuracy_override: np.ndarray | None = None,
-        latency_override: np.ndarray | None = None,
-    ) -> QueryTrace:
+    def generate(self, *, name: str | None = None) -> QueryTrace:
         """Produce a query trace according to the spec."""
-        acc, lat = self._overridden_arrays(accuracy_override, latency_override)
+        acc, lat = self.generate_arrays()
         queries = tuple(
             Query(index=i, accuracy_constraint=float(a), latency_constraint_ms=float(l))
             for i, (a, l) in enumerate(zip(acc, lat))

@@ -119,8 +119,8 @@ class TestFaultsNullRung:
     ):
         """FaultSpec()'s defaults must cost nothing and change nothing.
 
-        The inert injector forces the fault-aware code paths (``_drain``
-        with a live ``fi``, ``_drain_array`` instead of ``_fast_drain``)
+        The inert injector forces the fault-aware code path (``_drain``
+        with a live ``fi`` over either queue, instead of ``_fast_drain``)
         whose every hook must degenerate to the pre-fault behavior.
         """
         kwargs = dict(
@@ -133,7 +133,7 @@ class TestFaultsNullRung:
         trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
 
-        plain = build_engine(wl, **kwargs).run(trace, arrivals)
+        plain = build_engine(wl, **kwargs).run(trace, arrivals, fast_path=False)
         for fast_path in (False, True):
             inert = build_engine(wl, faults=FaultInjector(), **kwargs)
             assert_identical(
@@ -163,7 +163,9 @@ class TestFaultsNullRung:
         trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
 
-        reference = build_engine(wl, **kwargs).run(trace, arrivals)
+        reference = build_engine(wl, **kwargs).run(
+            trace, arrivals, fast_path=False
+        )
         fast = build_engine(wl, **kwargs).run(trace, arrivals, fast_path=True)
         shard = build_engine(wl, **kwargs).run(trace, arrivals, shard=True)
         assert_identical(fast, reference)
@@ -202,7 +204,7 @@ class TestLiveFaultIdentityAndDeterminism:
         arrivals = np.cumsum(gaps)
 
         reference = build_engine(wl, faults=FaultInjector(**params), **kwargs).run(
-            trace, arrivals
+            trace, arrivals, fast_path=False
         )
         fast = build_engine(wl, faults=FaultInjector(**params), **kwargs).run(
             trace, arrivals, fast_path=True

@@ -132,7 +132,7 @@ class TestObservationIdentity:
     ):
         plain, observed = run_pair(
             wl, num_replicas=num_replicas, discipline=discipline,
-            router=router, admission=admission,
+            router=router, admission=admission, fast_path=False,
         )
         assert_identical(observed, plain)
         assert plain.trace is None and observed.trace is not None

@@ -24,6 +24,7 @@ from repro.serving.engine import (
     make_admission,
     make_discipline,
     make_router,
+    poisson_arrivals,
 )
 from repro.serving.engine.events import Event, EventKind
 from repro.serving.query import Query, QueryTrace
@@ -62,16 +63,33 @@ def queued(index, arrival, seq, *, constraint=10.0, estimate=0.0):
     )
 
 
+class TestPoissonArrivals:
+    def test_monotone_increasing(self):
+        arrivals = poisson_arrivals(100, 0.5, rng=np.random.default_rng(0))
+        assert np.all(np.diff(arrivals) > 0)
+
+    def test_mean_gap_matches_rate(self):
+        arrivals = poisson_arrivals(5000, 2.0, rng=np.random.default_rng(1))
+        assert np.mean(np.diff(arrivals)) == pytest.approx(0.5, rel=0.1)
+
+    def test_invalid_arguments(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            poisson_arrivals(0, 1.0, rng=rng)
+        with pytest.raises(ValueError):
+            poisson_arrivals(10, 0.0, rng=rng)
+
+
 class TestEventHeap:
     def test_orders_by_time_then_kind(self):
         heap = EventHeap()
         heap.push(Event(2.0, EventKind.ARRIVAL, "a2"))
         heap.push(Event(1.0, EventKind.ARRIVAL, "a1"))
         heap.push(Event(2.0, EventKind.COMPLETION, "c2"))
-        assert heap.pop().payload == "a1"
+        assert heap.pop() == (1.0, EventKind.ARRIVAL, "a1")
         # Completions fire before arrivals at equal timestamps.
-        assert heap.pop().payload == "c2"
-        assert heap.pop().payload == "a2"
+        assert heap.pop() == (2.0, EventKind.COMPLETION, "c2")
+        assert heap.pop() == (2.0, EventKind.ARRIVAL, "a2")
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -267,6 +285,28 @@ class TestEngineOpenLoop:
         engine = ServingEngine([AcceleratorReplica(ConstantServer(1.0))])
         with pytest.raises(ValueError):
             engine.run(make_trace(5), np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "run_kwargs", [{}, {"fast_path": False}, {"shard": True}]
+    )
+    @pytest.mark.parametrize(
+        "arrivals, match",
+        [
+            ([0.0, 2.0, 1.0, 3.0], "non-decreasing"),
+            ([0.0, 1.0, float("nan"), 3.0], "finite"),
+            ([0.0, 1.0, 2.0, float("inf")], "finite"),
+        ],
+    )
+    def test_unsorted_or_non_finite_arrivals_rejected(
+        self, run_kwargs, arrivals, match
+    ):
+        # The fast loops walk the arrival buffer with a cursor, so an
+        # unsorted buffer would lose queries silently instead of failing.
+        engine = ServingEngine(
+            [AcceleratorReplica(ConstantServer(1.0), index=i) for i in range(2)]
+        )
+        with pytest.raises(ValueError, match=match):
+            engine.run(make_trace(4), np.array(arrivals), **run_kwargs)
 
     def test_replica_index_mismatch_rejected(self):
         with pytest.raises(ValueError):

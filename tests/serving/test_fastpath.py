@@ -1,13 +1,15 @@
-"""The engine fast path is an execution strategy, not a semantics change.
+"""The engine's fast loops are execution strategies, not semantics changes.
 
-``fast_path=True`` swaps the Event/EventHeap loop for a cursor over the
-arrival buffer plus a raw-tuple completion heap; ``shard=True`` additionally
-simulates each replica's arrival sub-stream independently.  Everything
-observable — outcomes, drops, per-replica stats, run duration, and with an
-autoscaler the full scaling report — must be bit-identical to the reference
-loop.  These tests pin that contract across disciplines, routers, admission
-policies, batching, autoscaled pools and multiprocess sharding, plus the
-spec/CLI surface (``fast_path``/``shard``/``shard_workers`` knobs,
+By default ``ServingEngine.run`` walks the arrival buffer with a cursor
+(plus a raw-tuple completion heap for static pools, or the array event
+queue for pools with an autoscaler); ``fast_path=False`` requests the
+reference EventHeap loop, and ``shard=True`` simulates each replica's
+arrival sub-stream independently.  Everything observable — outcomes, drops,
+per-replica stats, run duration, and with an autoscaler the full scaling
+report — must be bit-identical to the reference loop.  These tests pin that
+contract across disciplines, routers, admission policies, batching,
+autoscaled pools and multiprocess sharding, plus the spec/CLI surface
+(``fast_path`` as an ignored hint, ``shard``/``shard_workers``,
 ``repro run --profile``).
 """
 
@@ -20,11 +22,10 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import QueryRecord
-from repro.serving import ArrayQueryTrace
-from repro.serving.api import build_trace, run_scenario
+from repro.serving import ArrayQueryTrace, api
+from repro.serving.api import build_engine, build_trace, run_scenario
 from repro.serving.autoscale import AutoscaleController
 from repro.serving.engine import AcceleratorReplica, ServingEngine
-from repro.serving.query import QueryTrace
 from repro.serving.spec import (
     ArrivalSpec,
     ReplicaGroupSpec,
@@ -100,28 +101,28 @@ class TestFastPathIdentity:
     def test_matches_reference_across_policies(self, discipline, router, admission):
         trace, atrace, arrivals, services = make_workload(600, seed=11)
         kw = dict(discipline=discipline, router=router, admission=admission)
-        ref = make_engine(services, **kw).run(trace, arrivals)
-        fast = make_engine(services, **kw).run(atrace, arrivals, fast_path=True)
+        ref = make_engine(services, **kw).run(trace, arrivals, fast_path=False)
+        fast = make_engine(services, **kw).run(atrace, arrivals)
         assert_identical(fast, ref)
 
     def test_accepts_reference_trace_type(self):
         """The fast loop does not require an ArrayQueryTrace."""
         trace, _, arrivals, services = make_workload(200, seed=5)
-        ref = make_engine(services).run(trace, arrivals)
-        fast = make_engine(services).run(trace, arrivals, fast_path=True)
+        ref = make_engine(services).run(trace, arrivals, fast_path=False)
+        fast = make_engine(services).run(trace, arrivals)
         assert_identical(fast, ref)
 
     def test_matches_reference_with_batching(self):
         trace, atrace, arrivals, services = make_workload(500, seed=7, rate_per_ms=1.5)
         kw = dict(max_batch=4, admission="drop_expired", discipline="edf")
-        ref = make_engine(services, **kw).run(trace, arrivals)
-        fast = make_engine(services, **kw).run(atrace, arrivals, fast_path=True)
+        ref = make_engine(services, **kw).run(trace, arrivals, fast_path=False)
+        fast = make_engine(services, **kw).run(atrace, arrivals)
         assert_identical(fast, ref)
 
     def test_matches_reference_with_autoscaler(self):
-        """With a control plane the fast path is the ArrayEventQueue drain."""
+        """With a control plane the engine drains an ArrayEventQueue."""
 
-        def scaled(**run_kwargs):
+        def scaled(fast_path):
             trace, atrace, arrivals, services = make_workload(
                 800, seed=3, rate_per_ms=1.2
             )
@@ -139,10 +140,10 @@ class TestFastPathIdentity:
                 services, num_replicas=1, discipline="edf", router="jsq",
                 admission="drop_expired", autoscaler=ctl,
             )
-            use = atrace if run_kwargs.get("fast_path") else trace
-            return engine.run(use, arrivals, **run_kwargs)
+            use = atrace if fast_path else trace
+            return engine.run(use, arrivals, fast_path=fast_path)
 
-        ref = scaled()
+        ref = scaled(fast_path=False)
         fast = scaled(fast_path=True)
         assert_identical(fast, ref)
         assert ref.autoscale is not None
@@ -156,7 +157,7 @@ class TestShardedIdentity:
     def test_matches_reference_sequential(self):
         trace, atrace, arrivals, services = make_workload(700, seed=13)
         kw = dict(num_replicas=4, admission="drop_expired", discipline="edf")
-        ref = make_engine(services, **kw).run(trace, arrivals)
+        ref = make_engine(services, **kw).run(trace, arrivals, fast_path=False)
         shard = make_engine(services, **kw).run(atrace, arrivals, shard=True)
         assert_identical(shard, ref)
 
@@ -167,7 +168,7 @@ class TestShardedIdentity:
     def test_matches_reference_multiprocess(self):
         trace, atrace, arrivals, services = make_workload(700, seed=13)
         kw = dict(num_replicas=4, admission="drop_expired", discipline="edf")
-        ref = make_engine(services, **kw).run(trace, arrivals)
+        ref = make_engine(services, **kw).run(trace, arrivals, fast_path=False)
         shard = make_engine(services, **kw).run(
             atrace, arrivals, shard=True, shard_workers=2
         )
@@ -215,6 +216,19 @@ def scenario(**overrides):
     return ScenarioSpec(**fields)
 
 
+def run_reference(spec):
+    """``run_scenario(spec)`` on the reference EventHeap loop."""
+    cache: dict = {}
+    trace = build_trace(spec, stack_cache=cache)
+    engine = build_engine(spec, trace=trace, stack_cache=cache)
+    return engine.run(
+        trace,
+        spec.arrivals.generate(len(trace)),
+        arrival_rate_per_ms=spec.arrivals.nominal_rate_per_ms(),
+        fast_path=False,
+    )
+
+
 class TestSpecKnobs:
     def test_knobs_round_trip_exactly(self):
         spec = scenario(fast_path=True, shard=True, shard_workers=2)
@@ -235,16 +249,31 @@ class TestSpecKnobs:
             scenario(shard_workers=2)
 
     def test_build_trace_materializes_lazily_for_fast_specs(self):
-        assert isinstance(build_trace(scenario()), QueryTrace)
+        assert isinstance(build_trace(scenario()), ArrayQueryTrace)
         assert isinstance(build_trace(scenario(fast_path=True)), ArrayQueryTrace)
         assert isinstance(build_trace(scenario(shard=True)), ArrayQueryTrace)
 
     def test_run_scenario_fast_and_shard_match_reference(self):
-        ref = run_scenario(scenario())
-        fast = run_scenario(scenario(fast_path=True))
+        ref = run_reference(scenario())
+        fast = run_scenario(scenario())
         shard = run_scenario(scenario(shard=True))
         for result in (fast, shard):
             assert_identical(result, ref)
+
+    def test_fast_path_field_is_an_ignored_hint(self, monkeypatch):
+        """``fast_path: true`` and ``false`` specs run the same engine loop."""
+        built = []
+
+        def recording_build_trace(spec, **kwargs):
+            built.append(build_trace(spec, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(api, "build_trace", recording_build_trace)
+        on = run_scenario(scenario(fast_path=True))
+        off = run_scenario(scenario(fast_path=False))
+        assert_identical(off, on)
+        assert len(built) == 2
+        assert all(isinstance(trace, ArrayQueryTrace) for trace in built)
 
 
 # ----------------------------------------------------------------- CLI knob

@@ -6,8 +6,10 @@ uniform workload on a Poisson arrival process, served by a near-free backend
 — through one of the engine's execution strategies, so the measured time is
 the event loop itself rather than any model backend:
 
-* ``reference`` — the Event/EventHeap loop (the pre-fast-path semantics),
-* ``fast``      — the cursor + raw-tuple-heap loop (``fast_path=True``),
+* ``reference`` — the EventHeap loop (``fast_path=False``), the oracle the
+  other loops are checked against,
+* ``fast``      — the cursor + raw-tuple-heap loop, the engine's default for
+  a static pool,
 * ``shard``     — per-replica independent simulation (``shard=True``).
 
 Usage::
@@ -117,7 +119,9 @@ def main(argv=None) -> int:
         ],
         admission=args.admission,
     )
-    run_kwargs = dict(fast_path=args.mode == "fast", shard=args.mode == "shard")
+    run_kwargs = dict(
+        fast_path=args.mode != "reference", shard=args.mode == "shard"
+    )
 
     profiler = cProfile.Profile() if (args.hotspots or args.stats) else None
     gc_was_enabled = gc.isenabled()
