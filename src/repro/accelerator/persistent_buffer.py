@@ -120,8 +120,11 @@ class PersistentBuffer:
         self.stats = PBStats()
         self.generation = 0
         """Bumped whenever the cached contents may have changed.  Between two
-        generations the PB is immutable, so per-(generation, SubNet) results
-        — latency breakdowns, hit ratios, hit bytes — can be memoized."""
+        generations the PB is immutable.  ``SushiStack`` notes the generation
+        its own ``load`` produced and serves from its shared breakdown tensor
+        only while the PB is still at that generation; any other change
+        (``clear``, a foreign ``load``) makes it evaluate the contents
+        directly."""
 
     # ------------------------------------------------------------- state
     @property
@@ -198,8 +201,10 @@ class PersistentBuffer:
         """Update hit statistics after serving ``subnet``.
 
         ``hit_bytes`` may be passed when the caller already computed the
-        overlap for this (generation, SubNet) pair — it must equal
-        ``self.hit_bytes(subnet)``.
+        overlap for the current contents — it must equal
+        ``self.hit_bytes(subnet)``.  ``SushiStack`` passes its breakdown
+        tensor's entry, which it only reads while ``generation`` is still
+        the one its last load produced, so the two agree.
         """
         self.stats.queries_served += 1
         self.stats.hit_bytes_total += (

@@ -53,7 +53,7 @@ from repro.serving.engine import (
 )
 from repro.serving.query import ArrayQueryTrace, QueryTrace
 from repro.serving.spec import ReplicaGroupSpec, ScenarioSpec
-from repro.serving.stack import SushiStack, SushiStackConfig
+from repro.serving.stack import BreakdownTensor, SushiStack, SushiStackConfig
 from repro.serving.workload import (
     WorkloadGenerator,
     feasible_ranges_from_table,
@@ -199,10 +199,14 @@ def _server_builder(
     if group.kind == "sushi":
         base = _base_stack(spec, group, stack_cache)
         seed = base.config.seed
+        # One breakdown tensor per group and engine build: the build-time
+        # replicas and every autoscaler scale-up clone share it, while the
+        # cached template's own tensor is never filled.
+        breakdowns: BreakdownTensor = {}
         # The builder receives the engine-global replica position, so two
         # groups sharing a stack config still get decorrelated clones (a
         # single group reproduces build_stack_engine's seed + 0..N-1).
-        return lambda position: base.clone(seed=seed + position)
+        return lambda position: base.clone(seed=seed + position, breakdowns=breakdowns)
 
     if group.kind == "precomputed":
         if trace is None:

@@ -1679,16 +1679,17 @@ def build_stack_engine(
 
     Each replica gets its own scheduler and Persistent Buffer state (cloned
     via :meth:`~repro.serving.stack.SushiStack.clone`, sharing the immutable
-    SuperNet/table) so replicas evolve their caches independently; the
-    passed stack itself is left untouched.  ``max_batch`` / ``batch_policy``
-    configure batched dispatch per replica (``max_batch=1`` keeps the
-    pre-batching per-query pickup).
+    SuperNet/table and one breakdown tensor) so replicas evolve their caches
+    independently; the passed stack itself is left untouched.
+    ``max_batch`` / ``batch_policy`` configure batched dispatch per replica
+    (``max_batch=1`` keeps the pre-batching per-query pickup).
     """
     if num_replicas <= 0:
         raise ValueError("num_replicas must be positive")
+    breakdowns: dict = {}
     replicas = [
         AcceleratorReplica(
-            stack.clone(seed=stack.config.seed + i),
+            stack.clone(seed=stack.config.seed + i, breakdowns=breakdowns),
             discipline=discipline,
             max_batch=max_batch,
             batch_policy=batch_policy,

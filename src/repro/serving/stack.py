@@ -37,6 +37,12 @@ from repro.supernet.supernet import SuperNet
 from repro.supernet.zoo import load_supernet, paper_pareto_subnets
 
 
+#: Lazily filled SushiAbs breakdown tensor: ``(subnet_idx, candidate_idx)``
+#: → ``(LatencyBreakdown, vector hit ratio, hit bytes)`` with that candidate
+#: loaded in the PB.
+BreakdownTensor = dict[tuple[int, int], tuple]
+
+
 @dataclass(frozen=True)
 class SushiStackConfig:
     """Configuration of a SUSHI serving stack instance.
@@ -78,6 +84,7 @@ class SushiStack:
         accuracy_model: AccuracyModel | None = None,
         candidates: CandidateSet | None = None,
         table: LatencyTable | None = None,
+        breakdowns: BreakdownTensor | None = None,
     ) -> None:
         self.config = config or SushiStackConfig()
         self.supernet = supernet or load_supernet(self.config.supernet_name)
@@ -106,12 +113,13 @@ class SushiStack:
             rng=rng,
         )
         self.pb: PersistentBuffer = self.accel.make_persistent_buffer()
-        # Per-caching-window memo of (breakdown, hit ratio, hit bytes) by
-        # SubNet index: the PB is immutable between caching decisions, so
-        # every query of a window served on the same SubNet reuses the first
-        # query's accelerator evaluation (bit-identical records and stats).
-        self._window_memo: dict[int, tuple] = {}
-        self._window_memo_gen = -1
+        # SushiAbs for the simulator: after a PB load the PB holds a pure
+        # function of the candidate index, so (breakdown, hit ratio, hit
+        # bytes) is a function of (subnet_idx, candidate_idx) alone.  Filled
+        # lazily; clones may share one (see :meth:`clone`).
+        self.breakdowns: BreakdownTensor = {} if breakdowns is None else breakdowns
+        # (candidate index, PB generation) of the last load this stack enacted.
+        self._loaded = (-1, -1)
         # Enact the scheduler's initial (random) cache state on the hardware.
         self._enact_cache(self.scheduler.cache_state_idx)
 
@@ -120,23 +128,34 @@ class SushiStack:
         """Load candidate SubGraph ``candidate_idx`` into the PB; return ms spent."""
         subgraph = self.candidates[candidate_idx]
         fetched = self.pb.load(subgraph)
+        self._loaded = (candidate_idx, self.pb.generation)
         return self.accel.cache_load_latency_ms(fetched)
 
     def _window_breakdown(self, subnet_idx: int) -> tuple:
-        """Memoized (breakdown, hit ratio, hit bytes) at the current PB state."""
-        if self.pb.generation != self._window_memo_gen:
-            self._window_memo.clear()
-            self._window_memo_gen = self.pb.generation
-        memo = self._window_memo.get(subnet_idx)
-        if memo is None:
-            subnet = self.subnets[subnet_idx]
-            memo = (
-                self.accel.subnet_breakdown(subnet, self.pb.cached),
-                self.pb.vector_hit_ratio(subnet),
-                self.pb.hit_bytes(subnet),
-            )
-            self._window_memo[subnet_idx] = memo
-        return memo
+        """(breakdown, hit ratio, hit bytes) of ``subnet_idx`` at the current PB.
+
+        Read from (and filled into) the breakdown tensor while the PB still
+        holds the candidate this stack loaded; if the PB changed behind the
+        stack's back (its generation moved), the real contents are evaluated
+        directly and nothing is stored.
+        """
+        candidate_idx, generation = self._loaded
+        if self.pb.generation != generation:
+            return self._evaluate(subnet_idx)
+        key = (subnet_idx, candidate_idx)
+        entry = self.breakdowns.get(key)
+        if entry is None:
+            entry = self.breakdowns[key] = self._evaluate(subnet_idx)
+        return entry
+
+    def _evaluate(self, subnet_idx: int) -> tuple:
+        """Run the accelerator model for ``subnet_idx`` on the PB as it is."""
+        subnet = self.subnets[subnet_idx]
+        return (
+            self.accel.subnet_breakdown(subnet, self.pb.cached),
+            self.pb.vector_hit_ratio(subnet),
+            self.pb.hit_bytes(subnet),
+        )
 
     def _enact(self, query: Query, decision: SchedulerDecision) -> QueryRecord:
         """Serve one scheduled query on the accelerator and enact caching."""
@@ -296,20 +315,23 @@ class SushiStack:
         return self.pb.stats.byte_hit_ratio
 
     def reset(self) -> None:
-        """Reset scheduler history and PB contents (keeps the latency table)."""
+        """Reset scheduler history and PB contents (keeps the table and tensor)."""
         self.scheduler.reset()
         self.pb = self.accel.make_persistent_buffer()
-        self._window_memo.clear()
-        self._window_memo_gen = -1
         self._enact_cache(self.scheduler.cache_state_idx)
 
-    def clone(self, *, seed: int | None = None) -> "SushiStack":
+    def clone(
+        self, *, seed: int | None = None, breakdowns: BreakdownTensor | None = None
+    ) -> "SushiStack":
         """An independent stack sharing this one's immutable substrate.
 
         The SuperNet, SubNet family, accelerator model, candidate set and
         latency table are shared (they are read-only); the clone gets its own
         scheduler and Persistent Buffer, so it evolves cache state
-        independently — one clone per engine replica.
+        independently — one clone per engine replica.  Clones given the same
+        ``breakdowns`` tensor share its entries (each (SubNet, candidate)
+        pair is evaluated once among them); without one the clone starts a
+        fresh tensor, so this stack's own is never filled by its clones.
         """
         config = self.config if seed is None else replace(self.config, seed=seed)
         return SushiStack(
@@ -320,4 +342,5 @@ class SushiStack:
             accuracy_model=self.accuracy_model,
             candidates=self.candidates,
             table=self.table,
+            breakdowns=breakdowns,
         )

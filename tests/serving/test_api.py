@@ -8,8 +8,11 @@ workload) — the spec layer adds expressiveness, never drift.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.accelerator.analytic_model import SushiAccelModel
 from repro.core.policies import Policy
 from repro.serving import (
     ArrivalSpec,
@@ -27,6 +30,10 @@ from repro.serving.api import (
     run_scenario,
 )
 from repro.serving.workload import WorkloadGenerator, feasible_ranges_from_table
+
+AUTOSCALE_SCENARIO = (
+    Path(__file__).resolve().parents[2] / "examples" / "scenarios" / "autoscale_pool.json"
+)
 
 SUPERNET = "ofa_mobilenetv3"
 
@@ -321,6 +328,68 @@ class TestEngineIndexAssignment:
         assert replica.index == 0
         assert replica.name == "edge-tier"
         assert replica.stats.name == "edge-tier"
+
+
+class TestSharedBreakdownTensor:
+    """One breakdown tensor per SUSHI group and engine build."""
+
+    @pytest.fixture()
+    def evaluations(self, monkeypatch):
+        """Every accelerator evaluation, as a (SubNet, cached SubGraph) pair."""
+        pairs: list[tuple[str, str]] = []
+        inner = SushiAccelModel.subnet_breakdown
+
+        def counting(self, subnet, cached=None):
+            pairs.append((subnet.name, None if cached is None else cached.name))
+            return inner(self, subnet, cached)
+
+        monkeypatch.setattr(SushiAccelModel, "subnet_breakdown", counting)
+        return pairs
+
+    @staticmethod
+    def run_built(spec, cache):
+        trace = build_trace(spec, stack_cache=cache)
+        engine = build_engine(spec, trace=trace, stack_cache=cache)
+        result = engine.run(
+            trace,
+            spec.arrivals.generate(len(trace)),
+            arrival_rate_per_ms=spec.arrivals.nominal_rate_per_ms(),
+        )
+        return engine, result
+
+    def test_each_pair_evaluated_once_per_engine_build(self, evaluations):
+        spec = ScenarioSpec.from_json(AUTOSCALE_SCENARIO.read_text())
+        cache: dict = {}
+        build_engine(spec, stack_cache=cache)  # template tables, not counted
+        evaluations.clear()
+
+        engine, result = self.run_built(spec, cache)
+        assert result.autoscale.num_scale_ups > 0
+        tensors = {id(r.server.breakdowns) for r in engine.replicas}
+        assert len(tensors) == 1  # build-time replicas and scale-ups share it
+        assert len(engine.replicas) > spec.replica_groups[0].count
+        first = list(evaluations)
+        assert len(set(first)) == len(first) == len(engine.replicas[0].server.breakdowns)
+        assert len(result.outcomes) > len(first)
+
+        # A second engine build starts a fresh tensor and evaluates again.
+        evaluations.clear()
+        self.run_built(spec, cache)
+        assert evaluations == first
+
+    def test_template_tensor_never_filled(self):
+        spec = ScenarioSpec.from_json(AUTOSCALE_SCENARIO.read_text())
+        cache: dict = {}
+        run_scenario(spec, stack_cache=cache)
+        (template,) = cache.values()
+        assert template.breakdowns == {}
+
+    def test_groups_get_separate_tensors(self, stack_cache):
+        spec = TestHeterogeneousPools().hetero_spec()
+        engine = build_engine(spec, stack_cache=stack_cache)
+        large = {id(r.server.breakdowns) for r in engine.replicas[:2]}
+        small = {id(r.server.breakdowns) for r in engine.replicas[2:]}
+        assert len(large) == len(small) == 1 and large != small
 
 
 class TestSummary:

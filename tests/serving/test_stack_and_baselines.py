@@ -1,8 +1,11 @@
 """Unit/integration tests for the SUSHI stack and baseline servers."""
 
+import dataclasses
+
 import pytest
 
 from repro.accelerator.analytic_model import SushiAccelModel
+from repro.accelerator.persistent_buffer import PBStats
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
 from repro.core.policies import Policy
 from repro.serving.baselines import NoSushiServer, StateUnawareCachingServer
@@ -10,6 +13,21 @@ from repro.serving.query import QueryTrace
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
 from repro.supernet.accuracy import AccuracyModel
+
+
+class CountingAccel:
+    """Accelerator proxy counting ``subnet_breakdown`` evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def subnet_breakdown(self, *args, **kwargs):
+        self.calls += 1
+        return self.inner.subnet_breakdown(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +84,12 @@ class TestSushiStack:
         assert stack.pb.occupancy_bytes <= stack.pb.capacity_bytes
 
     def test_window_memo_is_bit_identical_to_unmemoized_path(self, stack, trace):
-        """The per-caching-window memo in ``_enact`` must change nothing.
+        """Serving through the breakdown tensor must change nothing.
 
-        The reference clone has its memo flushed before every query, forcing
-        the full per-query accelerator evaluation; records *and* PB byte
-        statistics must match the memoized clone exactly.
+        The reference clone has its PB generation bumped before every query,
+        so the stack no longer trusts the tensor and evaluates the
+        accelerator model on the PB contents directly; records *and* PB byte
+        statistics must match the tensor-backed clone exactly.
         """
         memoized = stack.clone(seed=7)
         records_memo = memoized.serve(trace)
@@ -78,44 +97,94 @@ class TestSushiStack:
         reference = stack.clone(seed=7)
         records_ref = []
         for query in trace:
-            reference._window_memo.clear()
-            reference._window_memo_gen = -1
+            reference.pb.generation += 1
             records_ref.append(reference.serve_query(query))
 
+        assert memoized.breakdowns
+        assert reference.breakdowns == {}  # direct evaluation stores nothing
         assert records_memo == records_ref
-        for field in (
-            "queries_served",
-            "hit_bytes_total",
-            "served_weight_bytes_total",
-            "cache_loads",
-            "cache_load_bytes_total",
-        ):
-            assert getattr(memoized.pb.stats, field) == getattr(
-                reference.pb.stats, field
-            ), field
+        for field in dataclasses.fields(PBStats):
+            assert getattr(memoized.pb.stats, field.name) == getattr(
+                reference.pb.stats, field.name
+            ), field.name
 
     def test_window_memo_reuses_accelerator_evaluations(self, stack, trace):
-        """Within one caching window each distinct SubNet is evaluated once."""
-
-        class CountingAccel:
-            def __init__(self, inner):
-                self.inner = inner
-                self.calls = 0
-
-            def subnet_breakdown(self, *args, **kwargs):
-                self.calls += 1
-                return self.inner.subnet_breakdown(*args, **kwargs)
-
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
+        """Each distinct (SubNet, candidate) pair is evaluated once."""
         clone = stack.clone(seed=7)
         proxy = CountingAccel(clone.accel)
         clone.accel = proxy
         clone.serve(trace)
-        # At most (distinct SubNets per window) evaluations per caching
-        # window — strictly fewer than one per query on this trace.
-        assert 0 < proxy.calls < len(trace)
+        assert proxy.calls == len(clone.breakdowns) < len(trace)
+
+        # A clone sharing the tensor re-serves the trace without evaluating.
+        sibling = clone.clone(seed=7, breakdowns=clone.breakdowns)
+        assert sibling.serve(trace) == stack.clone(seed=7).serve(trace)
+        assert proxy.calls == len(clone.breakdowns)
+
+    def test_clone_starts_a_fresh_tensor(self, stack, trace):
+        before = dict(stack.breakdowns)
+        clone = stack.clone(seed=7)
+        clone.serve(trace)
+        assert stack.breakdowns == before
+        assert clone.clone(seed=7).breakdowns == {}
+
+
+class TestExternalPBMutation:
+    """A PB changed behind the stack's back is served as it really is."""
+
+    @pytest.fixture()
+    def shared(self, stack, trace):
+        """A tensor filled by an unmutated twin serving the whole trace."""
+        breakdowns: dict = {}
+        stack.clone(seed=5, breakdowns=breakdowns).serve(trace)
+        return breakdowns
+
+    @staticmethod
+    def serve_mutated(replica, trace, mutate, *, direct):
+        """Ten queries, ``mutate(replica)``, then one more query.
+
+        ``direct`` bumps the PB generation before every query, forcing
+        direct evaluation of the PB contents throughout (the reference).
+        """
+        queries = list(trace)[:11]
+        records = []
+        for i, query in enumerate(queries):
+            if i == len(queries) - 1:
+                mutate(replica)
+            if direct:
+                replica.pb.generation += 1
+            records.append(replica.serve_query(query))
+        return records
+
+    @pytest.mark.parametrize("mutation", ["clear", "load_other"])
+    def test_next_record_sees_the_real_pb(self, stack, trace, shared, mutation):
+        loaded = []
+
+        def mutate(replica):
+            loaded.append(replica.scheduler.cache_state_idx)
+            if mutation == "clear":
+                replica.pb.clear()
+            else:
+                other = (loaded[-1] + 1) % len(replica.candidates)
+                replica.pb.load(replica.candidates[other])
+
+        before = dict(shared)
+        replica = stack.clone(seed=5, breakdowns=shared)
+        got = self.serve_mutated(replica, trace, mutate, direct=False)
+        reference = stack.clone(seed=5)
+        expected = self.serve_mutated(reference, trace, mutate, direct=True)
+
+        assert got == expected
+        if mutation == "clear":
+            assert got[-1].cache_hit_ratio == 0.0
+        # The entry for the candidate the replica believes is loaded exists
+        # (its twin filled it) and stays untouched, as does every other, so
+        # the replicas sharing the tensor are not poisoned.
+        subnet_idx = [sn.name for sn in stack.subnets].index(got[-1].subnet_name)
+        assert (subnet_idx, loaded[0]) in before
+        assert shared.keys() >= before.keys()
+        for key, entry in before.items():
+            assert shared[key] is entry
 
 
 class TestBaselines:
